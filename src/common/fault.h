@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/mutex.h"
 #include "common/statusor.h"
 #include "common/thread_annotations.h"
@@ -76,6 +77,16 @@ struct FaultSpec {
 
   bool empty() const { return points.empty(); }
 };
+
+/// Reads one fault-point object at `in`'s cursor. Unknown keys are
+/// rejected; trigger/action/code names are checked by ParseFaultSpecJson
+/// and Injector::Arm, not here. The one FaultPoint JSON reader: fault
+/// specs and the `faults` key of scenario specs both use it.
+Status ReadFaultPoint(JsonReader* in, FaultPoint* out);
+
+/// Appends `p` as one JSON object, defaults omitted — the writer paired
+/// with ReadFaultPoint.
+void AppendFaultPointJson(std::string* out, const FaultPoint& p);
 
 /// Parses the JSON fault-spec form. Unknown keys, unknown triggers,
 /// actions, or status codes are rejected — a typo must not silently

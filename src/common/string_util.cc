@@ -91,4 +91,17 @@ std::string ToLower(std::string_view text) {
   return out;
 }
 
+StatusOr<std::string> LineReader::Next() {
+  if (pos_ >= text_.size()) {
+    return Status::InvalidArgument(error_prefix_ +
+                                   ": unexpected end of input");
+  }
+  size_t end = text_.find('\n', pos_);
+  if (end == std::string_view::npos) end = text_.size();
+  std::string line(text_.substr(pos_, end - pos_));
+  pos_ = end + 1;
+  ++line_number_;
+  return line;
+}
+
 }  // namespace ccs

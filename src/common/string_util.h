@@ -1,4 +1,5 @@
-// Small string helpers used by the CSV layer and constraint serialization.
+// Small string helpers used by the CSV layer, constraint serialization
+// and checkpoints.
 
 #ifndef CCS_COMMON_STRING_UTIL_H_
 #define CCS_COMMON_STRING_UTIL_H_
@@ -7,6 +8,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/statusor.h"
 
 namespace ccs {
 
@@ -36,6 +39,30 @@ std::string FormatDouble(double value);
 
 /// Lowercases ASCII characters.
 std::string ToLower(std::string_view text);
+
+/// Walks `text` one '\n'-separated line at a time — the cursor of the
+/// line-oriented parsers (model files, checkpoints). Every read is
+/// mandatory, so running out of lines is an error, not an empty line.
+class LineReader {
+ public:
+  /// Reads `text`, which must outlive the reader. `error_prefix` leads
+  /// the error Next returns past the last line.
+  LineReader(std::string_view text, std::string error_prefix)
+      : text_(text), error_prefix_(std::move(error_prefix)) {}
+
+  /// The next line without its '\n'; InvalidArgument
+  /// "<error_prefix>: unexpected end of input" past the last line.
+  StatusOr<std::string> Next();
+
+  /// 1-based number of the line Next last returned.
+  size_t line_number() const { return line_number_; }
+
+ private:
+  std::string_view text_;
+  std::string error_prefix_;
+  size_t pos_ = 0;
+  size_t line_number_ = 0;
+};
 
 }  // namespace ccs
 

@@ -132,22 +132,6 @@ void SerializeSimple(const SimpleConstraint& c, std::ostringstream& os) {
   }
 }
 
-class LineReader {
- public:
-  explicit LineReader(const std::string& text) : stream_(text) {}
-
-  StatusOr<std::string> Next() {
-    std::string line;
-    if (!std::getline(stream_, line)) {
-      return Status::InvalidArgument("Deserialize: unexpected end of input");
-    }
-    return line;
-  }
-
- private:
-  std::istringstream stream_;
-};
-
 StatusOr<SimpleConstraint> ParseSimple(LineReader* reader,
                                        const std::string& header) {
   std::istringstream hs(header);
@@ -158,7 +142,6 @@ StatusOr<SimpleConstraint> ParseSimple(LineReader* reader,
     return Status::InvalidArgument("Deserialize: bad simple header");
   }
   std::vector<std::string> names;
-  names.reserve(num_attrs);
   for (size_t i = 0; i < num_attrs; ++i) {
     CCS_ASSIGN_OR_RETURN(std::string line, reader->Next());
     if (!StartsWith(line, "a ")) {
@@ -167,7 +150,6 @@ StatusOr<SimpleConstraint> ParseSimple(LineReader* reader,
     names.push_back(line.substr(2));
   }
   std::vector<BoundedConstraint> conjuncts;
-  conjuncts.reserve(num_conjuncts);
   for (size_t i = 0; i < num_conjuncts; ++i) {
     CCS_ASSIGN_OR_RETURN(std::string line, reader->Next());
     std::istringstream ls(line);
@@ -212,7 +194,7 @@ std::string Serialize(const ConformanceConstraint& constraint) {
 }
 
 StatusOr<ConformanceConstraint> Deserialize(const std::string& text) {
-  LineReader reader(text);
+  LineReader reader(text, "Deserialize");
   CCS_ASSIGN_OR_RETURN(std::string header, reader.Next());
   if (header != "ccs-constraint v1") {
     return Status::InvalidArgument("Deserialize: bad header: " + header);

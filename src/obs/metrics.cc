@@ -6,8 +6,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 
@@ -173,31 +173,6 @@ Histogram* Registry::GetHistogram(const std::string& name,
 
 namespace {
 
-// Minimal JSON string escape: metric names are dotted identifiers, but
-// stay safe for anything a caller interns.
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string JsonNumber(double v) {
   if (!std::isfinite(v)) return "0";  // JSON has no inf/nan.
   return FormatDouble(v);
@@ -212,14 +187,16 @@ std::string Registry::ToJson() const {
   for (const auto& [name, counter] : counters_) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + EscapeJson(name) + "\":" + std::to_string(counter->value());
+    common::AppendJsonString(&out, name);
+    out += ":" + std::to_string(counter->value());
   }
   out += "},\"gauges\":{";
   first = true;
   for (const auto& [name, gauge] : gauges_) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + EscapeJson(name) + "\":" + std::to_string(gauge->value());
+    common::AppendJsonString(&out, name);
+    out += ":" + std::to_string(gauge->value());
   }
   out += "},\"histograms\":{";
   first = true;
@@ -227,8 +204,8 @@ std::string Registry::ToJson() const {
     if (!first) out += ",";
     first = false;
     HistogramSnapshot snap = histogram->Snapshot();
-    out += "\"" + EscapeJson(name) + "\":{\"count\":" +
-           std::to_string(snap.total_count) +
+    common::AppendJsonString(&out, name);
+    out += ":{\"count\":" + std::to_string(snap.total_count) +
            ",\"sum\":" + JsonNumber(snap.sum) +
            ",\"p50\":" + JsonNumber(snap.p50()) +
            ",\"p95\":" + JsonNumber(snap.p95()) +

@@ -1,11 +1,11 @@
 #include "scenario/scenario.h"
 
 #include <algorithm>
-#include <cctype>
 #include <iterator>
 #include <optional>
 #include <utility>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "synth/evl.h"
@@ -15,6 +15,7 @@
 
 namespace ccs::scenario {
 
+using common::AppendJsonString;
 using dataframe::Column;
 using dataframe::DataFrame;
 
@@ -661,273 +662,58 @@ ScenarioSpec RandomSpec(Rng* rng) {
 
 namespace {
 
-// Minimal JSON reader for the spec shape: objects, arrays, strings,
-// numbers, bools. No external dependency; rejects anything it does not
-// understand.
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
+Status ParseStage(common::JsonReader* in, StageSpec* stage) {
+  return in->Object([&](const std::string& key) -> Status {
+    if (key == "kind") return in->String(&stage->kind);
+    if (key == "column") return in->String(&stage->column);
+    if (key == "magnitude") return in->Double(&stage->magnitude);
+    if (key == "fraction") return in->Double(&stage->fraction);
+    if (key == "begin_row") return in->Uint(&stage->begin_row);
+    if (key == "end_row") return in->Uint(&stage->end_row);
+    if (key == "period") return in->Uint(&stage->period);
+    return in->Error("unknown stage key '" + key + "'");
+  });
+}
 
-  StatusOr<ScenarioSpec> Parse() {
-    ScenarioSpec spec;
-    CCS_RETURN_IF_ERROR(Expect('{'));
-    bool first = true;
-    while (true) {
-      SkipSpace();
-      if (Peek() == '}') {
-        ++pos_;
-        break;
-      }
-      if (!first) CCS_RETURN_IF_ERROR(Expect(','));
-      first = false;
-      CCS_ASSIGN_OR_RETURN(std::string key, ParseString());
-      CCS_RETURN_IF_ERROR(Expect(':'));
-      CCS_RETURN_IF_ERROR(SpecField(key, &spec));
-    }
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      return Status::InvalidArgument("scenario spec JSON: trailing content");
-    }
-    return spec;
+Status SpecField(common::JsonReader* in, const std::string& key,
+                 ScenarioSpec* spec) {
+  if (key == "name") return in->String(&spec->name);
+  if (key == "generator") return in->String(&spec->generator);
+  if (key == "reference_rows") return in->Uint(&spec->reference_rows);
+  if (key == "stream_rows") return in->Uint(&spec->stream_rows);
+  if (key == "window_rows") return in->Uint(&spec->window_rows);
+  if (key == "slide_rows") return in->Uint(&spec->slide_rows);
+  if (key == "alarm_threshold") return in->Double(&spec->alarm_threshold);
+  if (key == "refresh_every") return in->Uint(&spec->refresh_every);
+  if (key == "chunk_rows") return in->Uint(&spec->chunk_rows);
+  if (key == "stages") {
+    return in->Array([&] {
+      spec->stages.emplace_back();
+      return ParseStage(in, &spec->stages.back());
+    });
   }
-
- private:
-  Status SpecField(const std::string& key, ScenarioSpec* spec) {
-    if (key == "name") return AssignString(&spec->name);
-    if (key == "generator") return AssignString(&spec->generator);
-    if (key == "reference_rows") return AssignSize(&spec->reference_rows);
-    if (key == "stream_rows") return AssignSize(&spec->stream_rows);
-    if (key == "window_rows") return AssignSize(&spec->window_rows);
-    if (key == "slide_rows") return AssignSize(&spec->slide_rows);
-    if (key == "alarm_threshold") return AssignDouble(&spec->alarm_threshold);
-    if (key == "refresh_every") return AssignSize(&spec->refresh_every);
-    if (key == "chunk_rows") return AssignSize(&spec->chunk_rows);
-    if (key == "stages") return ParseStages(spec);
-    if (key == "ingest_policy") return AssignString(&spec->ingest_policy);
-    if (key == "window_policy") return AssignString(&spec->window_policy);
-    if (key == "score_policy") return AssignString(&spec->score_policy);
-    if (key == "faults") return ParseFaults(spec);
-    return Status::InvalidArgument("scenario spec JSON: unknown key '" + key +
-                                   "'");
+  if (key == "ingest_policy") return in->String(&spec->ingest_policy);
+  if (key == "window_policy") return in->String(&spec->window_policy);
+  if (key == "score_policy") return in->String(&spec->score_policy);
+  if (key == "faults") {
+    // Trigger/action/code names are validated at Injector::Arm.
+    return in->Array([&] {
+      spec->faults.emplace_back();
+      return common::fault::ReadFaultPoint(in, &spec->faults.back());
+    });
   }
-
-  Status ParseStages(ScenarioSpec* spec) {
-    CCS_RETURN_IF_ERROR(Expect('['));
-    bool first = true;
-    while (true) {
-      SkipSpace();
-      if (Peek() == ']') {
-        ++pos_;
-        return Status::OK();
-      }
-      if (!first) CCS_RETURN_IF_ERROR(Expect(','));
-      first = false;
-      CCS_RETURN_IF_ERROR(ParseStage(spec));
-    }
-  }
-
-  Status ParseStage(ScenarioSpec* spec) {
-    StageSpec stage;
-    CCS_RETURN_IF_ERROR(Expect('{'));
-    bool first = true;
-    while (true) {
-      SkipSpace();
-      if (Peek() == '}') {
-        ++pos_;
-        break;
-      }
-      if (!first) CCS_RETURN_IF_ERROR(Expect(','));
-      first = false;
-      CCS_ASSIGN_OR_RETURN(std::string key, ParseString());
-      CCS_RETURN_IF_ERROR(Expect(':'));
-      if (key == "kind") {
-        CCS_RETURN_IF_ERROR(AssignString(&stage.kind));
-      } else if (key == "column") {
-        CCS_RETURN_IF_ERROR(AssignString(&stage.column));
-      } else if (key == "magnitude") {
-        CCS_RETURN_IF_ERROR(AssignDouble(&stage.magnitude));
-      } else if (key == "fraction") {
-        CCS_RETURN_IF_ERROR(AssignDouble(&stage.fraction));
-      } else if (key == "begin_row") {
-        CCS_RETURN_IF_ERROR(AssignSize(&stage.begin_row));
-      } else if (key == "end_row") {
-        CCS_RETURN_IF_ERROR(AssignSize(&stage.end_row));
-      } else if (key == "period") {
-        CCS_RETURN_IF_ERROR(AssignSize(&stage.period));
-      } else {
-        return Status::InvalidArgument(
-            "scenario spec JSON: unknown stage key '" + key + "'");
-      }
-    }
-    spec->stages.push_back(std::move(stage));
-    return Status::OK();
-  }
-
-  Status ParseFaults(ScenarioSpec* spec) {
-    CCS_RETURN_IF_ERROR(Expect('['));
-    bool first = true;
-    while (true) {
-      SkipSpace();
-      if (Peek() == ']') {
-        ++pos_;
-        return Status::OK();
-      }
-      if (!first) CCS_RETURN_IF_ERROR(Expect(','));
-      first = false;
-      CCS_RETURN_IF_ERROR(ParseFault(spec));
-    }
-  }
-
-  // One fault point, the common/fault.h spec shape. Validation of
-  // trigger/action/code names happens at Injector::Arm, not here.
-  Status ParseFault(ScenarioSpec* spec) {
-    common::fault::FaultPoint fault;
-    CCS_RETURN_IF_ERROR(Expect('{'));
-    bool first = true;
-    while (true) {
-      SkipSpace();
-      if (Peek() == '}') {
-        ++pos_;
-        break;
-      }
-      if (!first) CCS_RETURN_IF_ERROR(Expect(','));
-      first = false;
-      CCS_ASSIGN_OR_RETURN(std::string key, ParseString());
-      CCS_RETURN_IF_ERROR(Expect(':'));
-      if (key == "point") {
-        CCS_RETURN_IF_ERROR(AssignString(&fault.point));
-      } else if (key == "trigger") {
-        CCS_RETURN_IF_ERROR(AssignString(&fault.trigger));
-      } else if (key == "at") {
-        CCS_RETURN_IF_ERROR(AssignU64(&fault.at));
-      } else if (key == "every") {
-        CCS_RETURN_IF_ERROR(AssignU64(&fault.every));
-      } else if (key == "probability") {
-        CCS_RETURN_IF_ERROR(AssignDouble(&fault.probability));
-      } else if (key == "action") {
-        CCS_RETURN_IF_ERROR(AssignString(&fault.action));
-      } else if (key == "code") {
-        CCS_RETURN_IF_ERROR(AssignString(&fault.code));
-      } else if (key == "message") {
-        CCS_RETURN_IF_ERROR(AssignString(&fault.message));
-      } else {
-        return Status::InvalidArgument(
-            "scenario spec JSON: unknown fault key '" + key + "'");
-      }
-    }
-    spec->faults.push_back(std::move(fault));
-    return Status::OK();
-  }
-
-  Status AssignString(std::string* out) {
-    CCS_ASSIGN_OR_RETURN(*out, ParseString());
-    return Status::OK();
-  }
-
-  Status AssignDouble(double* out) {
-    CCS_ASSIGN_OR_RETURN(*out, ParseNumber());
-    return Status::OK();
-  }
-
-  Status AssignSize(size_t* out) {
-    CCS_ASSIGN_OR_RETURN(double v, ParseNumber());
-    if (v < 0.0) {
-      return Status::InvalidArgument(
-          "scenario spec JSON: negative row count");
-    }
-    *out = static_cast<size_t>(v);
-    return Status::OK();
-  }
-
-  Status AssignU64(uint64_t* out) {
-    CCS_ASSIGN_OR_RETURN(double v, ParseNumber());
-    if (v < 0.0) {
-      return Status::InvalidArgument("scenario spec JSON: negative ordinal");
-    }
-    *out = static_cast<uint64_t>(v);
-    return Status::OK();
-  }
-
-  StatusOr<std::string> ParseString() {
-    CCS_RETURN_IF_ERROR(Expect('"'));
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        char esc = text_[pos_++];
-        if (esc == 'n') {
-          out.push_back('\n');
-        } else if (esc == 't') {
-          out.push_back('\t');
-        } else {
-          out.push_back(esc);  // \" \\ \/ and friends.
-        }
-      } else {
-        out.push_back(c);
-      }
-    }
-    if (pos_ >= text_.size()) {
-      return Status::InvalidArgument(
-          "scenario spec JSON: unterminated string");
-    }
-    ++pos_;  // Closing quote.
-    return out;
-  }
-
-  StatusOr<double> ParseNumber() {
-    SkipSpace();
-    size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    std::optional<double> v = ParseDouble(text_.substr(start, pos_ - start));
-    if (!v.has_value()) {
-      return Status::InvalidArgument("scenario spec JSON: bad number at " +
-                                     std::to_string(start));
-    }
-    return *v;
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  char Peek() { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-
-  Status Expect(char c) {
-    SkipSpace();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      return Status::InvalidArgument(
-          std::string("scenario spec JSON: expected '") + c + "' at offset " +
-          std::to_string(pos_));
-    }
-    ++pos_;
-    return Status::OK();
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-  out->push_back('"');
+  return in->Error("unknown key '" + key + "'");
 }
 
 }  // namespace
 
 StatusOr<ScenarioSpec> ParseSpecJson(const std::string& text) {
-  return JsonParser(text).Parse();
+  common::JsonReader in(text, "scenario spec JSON");
+  ScenarioSpec spec;
+  CCS_RETURN_IF_ERROR(in.Object(
+      [&](const std::string& key) { return SpecField(&in, key, &spec); }));
+  CCS_RETURN_IF_ERROR(in.Finish());
+  return spec;
 }
 
 std::string SpecToJson(const ScenarioSpec& spec) {
@@ -981,32 +767,8 @@ std::string SpecToJson(const ScenarioSpec& spec) {
   if (!spec.faults.empty()) {
     out += ",\n  \"faults\": [";
     for (size_t i = 0; i < spec.faults.size(); ++i) {
-      const common::fault::FaultPoint& f = spec.faults[i];
-      out += i == 0 ? "\n" : ",\n";
-      out += "    {\"point\": ";
-      AppendJsonString(&out, f.point);
-      out += ", \"trigger\": ";
-      AppendJsonString(&out, f.trigger);
-      if (f.trigger == "once") out += ", \"at\": " + std::to_string(f.at);
-      if (f.trigger == "every") {
-        out += ", \"every\": " + std::to_string(f.every);
-      }
-      if (f.trigger == "probability") {
-        out += ", \"probability\": " + FormatDouble(f.probability);
-      }
-      if (f.action != "error") {
-        out += ", \"action\": ";
-        AppendJsonString(&out, f.action);
-      }
-      if (f.code != "unavailable") {
-        out += ", \"code\": ";
-        AppendJsonString(&out, f.code);
-      }
-      if (!f.message.empty()) {
-        out += ", \"message\": ";
-        AppendJsonString(&out, f.message);
-      }
-      out += "}";
+      out += i == 0 ? "\n    " : ",\n    ";
+      common::fault::AppendFaultPointJson(&out, spec.faults[i]);
     }
     out += "\n  ]";
   }

@@ -70,27 +70,6 @@ StatusOr<double> HexField(const std::vector<std::string>& fields,
   return FromHex(text);
 }
 
-class LineReader {
- public:
-  explicit LineReader(const std::string& text) : in_(text) {}
-
-  /// Next line; InvalidArgument at end (every Parse read is mandatory).
-  StatusOr<std::string> Next() {
-    std::string line;
-    if (!std::getline(in_, line)) {
-      return Status::InvalidArgument("checkpoint: truncated file");
-    }
-    ++line_number_;
-    return line;
-  }
-
-  size_t line_number() const { return line_number_; }
-
- private:
-  std::istringstream in_;
-  size_t line_number_ = 0;
-};
-
 }  // namespace
 
 std::string SerializeCheckpoint(const CheckpointData& data) {
@@ -144,7 +123,7 @@ std::string SerializeCheckpoint(const CheckpointData& data) {
 
 StatusOr<CheckpointData> ParseCheckpoint(const std::string& text) {
   CheckpointData data;
-  LineReader reader(text);
+  LineReader reader(text, "checkpoint");
   CCS_ASSIGN_OR_RETURN(std::string line, reader.Next());
   if (line != kMagic) {
     return Status::InvalidArgument(
@@ -241,7 +220,6 @@ StatusOr<CheckpointData> ParseCheckpoint(const std::string& text) {
     CCS_ASSIGN_OR_RETURN(size_t num_conjuncts,
                          SizeField(fields, "conjuncts"));
     std::vector<core::BoundedConstraint> conjuncts;
-    conjuncts.reserve(num_conjuncts);
     for (size_t i = 0; i < num_conjuncts; ++i) {
       CCS_ASSIGN_OR_RETURN(line, reader.Next());
       std::vector<std::string> cfields = Split(line, ' ');

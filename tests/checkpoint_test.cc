@@ -90,6 +90,15 @@ TEST(CheckpointFormatTest, ParseRejectsCorruption) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(CheckpointFormatTest, HugeConjunctCountIsAnErrorNotAnAbort) {
+  // A count is only a promise of lines to come: sizing an allocation
+  // from it threw std::length_error out of the parser.
+  std::string text = SerializeCheckpoint(SampleData());
+  text.insert(text.rfind("end"), "profile conjuncts=999999999999999999\n");
+  EXPECT_EQ(ParseCheckpoint(text).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(CheckpointFormatTest, FileRoundTripAndNotFound) {
   const std::string path = ::testing::TempDir() + "/ccs_checkpoint_test.ck";
   std::remove(path.c_str());

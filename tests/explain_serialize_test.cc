@@ -176,6 +176,14 @@ TEST(SerializeTest, RejectsCorruptedInput) {
   EXPECT_FALSE(Deserialize(text).ok());
 }
 
+TEST(SerializeTest, HugeAttributeCountIsAnErrorNotAnAbort) {
+  // A count is only a promise of lines to come: sizing an allocation
+  // from it threw std::length_error out of the parser.
+  auto parsed = Deserialize(
+      "ccs-constraint v1\nglobal 1\nsimple 0 18446744073709551615\n");
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(SerializeTest, PrettyStringMentionsAttributesAndBounds) {
   ConformanceConstraint phi = SynthesizeExample(11);
   std::string pretty = ToPrettyString(phi);

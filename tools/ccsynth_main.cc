@@ -73,6 +73,7 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "common/json.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -533,9 +534,11 @@ int RunExplain(const std::vector<std::string>& args) {
 }
 
 std::string TraceToJson(const scenario::ScenarioTrace& trace) {
-  std::string out = "{\"scenario\":\"" + trace.scenario + "\",\"detector\":\"" +
-                    trace.detector + "\",\"seed\":" +
-                    std::to_string(trace.seed) + ",\"events\":[";
+  std::string out = "{\"scenario\":";
+  common::AppendJsonString(&out, trace.scenario);
+  out += ",\"detector\":";
+  common::AppendJsonString(&out, trace.detector);
+  out += ",\"seed\":" + std::to_string(trace.seed) + ",\"events\":[";
   bool first = true;
   for (const scenario::TraceEvent& e : trace.events) {
     if (!first) out += ",";
@@ -548,8 +551,10 @@ std::string TraceToJson(const scenario::ScenarioTrace& trace) {
              (e.alarm ? "true" : "false") + "}";
     }
   }
-  out += "],\"status\":\"" + trace.terminal.ToString() + "\",\"windows\":" +
-         std::to_string(trace.windows_scored) + ",\"alarms\":" +
+  out += "],\"status\":";
+  common::AppendJsonString(&out, trace.terminal.ToString());
+  out += ",\"windows\":" + std::to_string(trace.windows_scored) +
+         ",\"alarms\":" +
          std::to_string(trace.alarms) + ",\"refreshes\":" +
          std::to_string(trace.refreshes) + "}";
   return out;
