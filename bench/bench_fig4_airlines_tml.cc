@@ -36,13 +36,13 @@ void Run() {
   bench::CheckOk(covariates.status());
   std::vector<std::string> names = covariates->NumericNames();
 
-  auto x_train = benchmark->train.NumericMatrixFor(names);
+  auto x_train = benchmark->train.NumericViewFor(names);
   bench::CheckOk(x_train.status());
   auto y_train = benchmark->train.ColumnByName("delay");
   bench::CheckOk(y_train.status());
   ml::LinearRegressionOptions options;
   options.l2_penalty = 1.0;  // Unique solution over collinear covariates.
-  auto model = ml::LinearRegression::Fit(*x_train,
+  auto model = ml::LinearRegression::Fit(x_train->ToMatrix(),
                                          (*y_train)->ToVector(), options);
   bench::CheckOk(model.status());
 
@@ -62,11 +62,12 @@ void Run() {
     bench::CheckOk(mean_violation.status());
     violations.push_back(*mean_violation * 100.0);
 
-    auto x = split.data->NumericMatrixFor(names);
+    auto x = split.data->NumericViewFor(names);
     bench::CheckOk(x.status());
     auto y = split.data->ColumnByName("delay");
     bench::CheckOk(y.status());
-    auto mae = ml::MeanAbsoluteError((*y)->ToVector(), model->PredictAll(*x));
+    auto mae = ml::MeanAbsoluteError((*y)->ToVector(),
+                                     model->PredictAll(x->ToMatrix()));
     bench::CheckOk(mae.status());
     maes.push_back(*mae);
   }

@@ -39,17 +39,17 @@ void Run() {
   ml::LinearRegressionOptions options;
   options.l2_penalty = 1.0;
   auto model = ml::LinearRegression::Fit(
-      benchmark->train.NumericMatrixFor(names).value(),
+      benchmark->train.NumericViewFor(names).value().ToMatrix(),
       benchmark->train.ColumnByName("delay").value()->ToVector(), options);
   bench::CheckOk(model.status());
 
   dataframe::DataFrame sample = benchmark->mixed.Sample(1000, &rng);
   auto assessments = envelope->AssessAll(sample);
   bench::CheckOk(assessments.status());
-  auto x = sample.NumericMatrixFor(names);
+  auto x = sample.NumericViewFor(names);
   bench::CheckOk(x.status());
   auto truth = sample.ColumnByName("delay").value()->ToVector();
-  auto errors = ml::AbsoluteErrors(truth, model->PredictAll(*x));
+  auto errors = ml::AbsoluteErrors(truth, model->PredictAll(x->ToMatrix()));
   bench::CheckOk(errors.status());
 
   linalg::Vector violations(sample.num_rows());

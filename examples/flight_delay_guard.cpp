@@ -40,7 +40,7 @@ int main() {
   ml::LinearRegressionOptions options;
   options.l2_penalty = 1.0;
   auto model = ml::LinearRegression::Fit(
-      bench->train.NumericMatrixFor(names).value(),
+      bench->train.NumericViewFor(names).value().ToMatrix(),
       bench->train.ColumnByName("delay").value()->ToVector(), options);
   if (!model.ok()) {
     std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
@@ -50,7 +50,7 @@ int main() {
   // 3. Serve mixed traffic; route each tuple through the guard first.
   const dataframe::DataFrame& serving = bench->mixed;
   auto verdicts = envelope->AssessAll(serving).value();
-  auto x = serving.NumericMatrixFor(names).value();
+  auto x = serving.NumericViewFor(names).value().ToMatrix();
   auto truth = serving.ColumnByName("delay").value()->ToVector();
   auto predictions = model->PredictAll(x);
 

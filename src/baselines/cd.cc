@@ -20,12 +20,13 @@ Status ChangeDetection::Fit(const dataframe::DataFrame& reference) {
   if (reference.num_rows() == 0) {
     return Status::InvalidArgument("CD::Fit: empty reference");
   }
-  linalg::Matrix data = reference.NumericMatrix();
-  if (data.cols() == 0) {
+  CCS_ASSIGN_OR_RETURN(linalg::MatrixView view,
+                       reference.NumericViewFor(reference.NumericNames()));
+  if (view.cols() == 0) {
     return Status::InvalidArgument("CD::Fit: no numeric attributes");
   }
-  linalg::GramAccumulator gram(data.cols());
-  gram.AddMatrix(data);
+  linalg::GramAccumulator gram(view.cols());
+  gram.AddView(view);
   mean_ = gram.Means();
   CCS_ASSIGN_OR_RETURN(linalg::EigenDecomposition eig,
                        linalg::SymmetricEigen(gram.Covariance()));
@@ -44,12 +45,13 @@ Status ChangeDetection::Fit(const dataframe::DataFrame& reference) {
     if (cumulative >= options_.variance_fraction * total) break;
   }
 
-  axes_ = linalg::Matrix(keep.size(), data.cols());
+  axes_ = linalg::Matrix(keep.size(), view.cols());
   for (size_t r = 0; r < keep.size(); ++r) {
     axes_.SetRow(r, eig.pairs[keep[r]].eigenvector);
   }
 
   // Reference densities per retained component.
+  linalg::Matrix data = view.ToMatrix();
   reference_density_.clear();
   ranges_.clear();
   for (size_t r = 0; r < axes_.rows(); ++r) {

@@ -95,21 +95,14 @@ double SimpleConstraint::ViolationAligned(
   return std::clamp(acc, 0.0, 1.0);
 }
 
-namespace {
-
-// Shared body of the Matrix / MatrixView scoring kernels. DataLike only
-// needs rows() and MultiplyRowRange(begin, end, coef); both implement
-// the same exact i,k,j term order, so the two instantiations are
-// bitwise interchangeable.
-template <typename DataLike>
-linalg::Vector ViolationAllAlignedImpl(
-    const std::vector<std::string>& names,
-    const std::vector<BoundedConstraint>& conjuncts, const DataLike& data) {
+linalg::Vector SimpleConstraint::ViolationAllAligned(
+    const linalg::MatrixView& data) const {
   linalg::Vector out(data.rows());
+  const std::vector<BoundedConstraint>& conjuncts = conjuncts_;
   if (conjuncts.empty() || data.rows() == 0) return out;
   // Column k holds conjunct k's projection, so one data * coef product
   // evaluates every projection on every row.
-  linalg::Matrix coef(names.size(), conjuncts.size());
+  linalg::Matrix coef(names_.size(), conjuncts.size());
   for (size_t k = 0; k < conjuncts.size(); ++k) {
     const linalg::Vector& c = conjuncts[k].projection().coefficients();
     for (size_t j = 0; j < c.size(); ++j) coef.At(j, k) = c[j];
@@ -126,18 +119,6 @@ linalg::Vector ViolationAllAlignedImpl(
     }
   });
   return out;
-}
-
-}  // namespace
-
-linalg::Vector SimpleConstraint::ViolationAllAligned(
-    const linalg::Matrix& data) const {
-  return ViolationAllAlignedImpl(names_, conjuncts_, data);
-}
-
-linalg::Vector SimpleConstraint::ViolationAllAligned(
-    const linalg::MatrixView& data) const {
-  return ViolationAllAlignedImpl(names_, conjuncts_, data);
 }
 
 StatusOr<double> SimpleConstraint::Violation(const dataframe::DataFrame& df,

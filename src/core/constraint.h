@@ -89,17 +89,14 @@ class SimpleConstraint {
   /// Quantitative semantics: gamma-weighted sum of conjunct violations.
   double ViolationAligned(const linalg::Vector& numeric_tuple) const;
 
-  /// Violations of every row of an aligned data matrix (columns in
-  /// attribute_names() order). All conjunct projections are evaluated as
-  /// one chunk-parallel matrix-matrix product; results are bitwise
-  /// identical to calling ViolationAligned row by row.
-  linalg::Vector ViolationAllAligned(const linalg::Matrix& data) const;
-
-  /// The same batched kernel over a non-owning columnar view: the
+  /// Violations of every row of an aligned non-owning columnar view
+  /// (columns in attribute_names() order). All conjunct projections are
+  /// evaluated as one chunk-parallel view-times-matrix product; the
   /// gather happens inside MatrixView::MultiplyRowRange, so scoring a
-  /// view-backed frame materializes no per-call matrix. Bitwise
-  /// identical to ViolationAllAligned(data.ToMatrix()).
-  linalg::Vector ViolationAllAligned(const linalg::MatrixView& data) const;
+  /// view-backed frame materializes no per-call matrix. Results are
+  /// bitwise identical to calling ViolationAligned row by row.
+  linalg::Vector ViolationAllAligned(
+      const linalg::MatrixView& data) const;
 
   /// Violation of row `row` of `df` (attributes located by name).
   StatusOr<double> Violation(const dataframe::DataFrame& df,

@@ -37,10 +37,9 @@ StatusOr<IncrementalSynthesizer> IncrementalSynthesizer::WithExpansion(
 Status IncrementalSynthesizer::ObserveAll(const dataframe::DataFrame& df) {
   // The stream pipeline feeds rolling-buffer window views through here
   // every slide; walking them in place keeps the refresh path
-  // allocation-free in the window size. (Already view-based — never
-  // NumericMatrixFor — and under WithExpansion the polynomial terms are
-  // derived into the Gram walk's gather scratch, so even the expanded
-  // refresh path materializes nothing.)
+  // allocation-free in the window size. (Under WithExpansion the
+  // polynomial terms are derived into the Gram walk's gather scratch,
+  // so even the expanded refresh path materializes nothing.)
   if (!exprs_.empty()) {
     CCS_ASSIGN_OR_RETURN(linalg::MatrixView data, df.DerivedViewFor(exprs_));
     gram_.AddView(data);

@@ -32,20 +32,13 @@ StatusOr<double> Projection::Evaluate(const dataframe::DataFrame& df,
   return acc;
 }
 
-linalg::Vector Projection::EvaluateAllAligned(
-    const linalg::Matrix& data) const {
-  return data.Multiply(coefficients_);
-}
-
 StatusOr<linalg::Vector> Projection::EvaluateAll(
     const dataframe::DataFrame& df) const {
   // Lazy path: one derived kCombine column over the named attributes,
   // evaluated by the shared EvalCombineColumn kernel straight into the
-  // result vector — the n x k matrix this used to materialize through
-  // NumericMatrixFor is gone. Term order (ascending j, value *
-  // coefficient, seeded from 0.0) matches per-row Evaluate and the
-  // aligned mat-vec kernels, so finite-data results are bitwise
-  // identical to the old data.Multiply(coefficients_) route (see
+  // result vector — no n x k matrix is materialized. Term order
+  // (ascending j, value * coefficient, seeded from 0.0) matches per-row
+  // Evaluate, so finite-data results are bitwise identical to it (see
   // docs/architecture.md, "Derived columns").
   const std::vector<dataframe::ColumnExpr> exprs = {
       dataframe::ColumnExpr::Combine(names_, &coefficients_.data())};

@@ -86,93 +86,53 @@ linalg::Vector DataFrame::NumericRow(size_t row) const {
 }
 
 linalg::Matrix DataFrame::NumericMatrix() const {
-  std::vector<size_t> numeric = schema_.NumericIndices();
-  linalg::Matrix out(num_rows_, numeric.size());
-  for (size_t j = 0; j < numeric.size(); ++j) {
-    const Column& col = columns_[numeric[j]];
-    for (size_t i = 0; i < num_rows_; ++i) out.At(i, j) = col.NumericAt(i);
-  }
-  return out;
+  // Every numeric name resolves to a numeric column, so the view exists.
+  return NumericViewFor(NumericNames()).value().ToMatrix();
 }
 
-StatusOr<linalg::Matrix> DataFrame::NumericMatrixFor(
-    const std::vector<std::string>& names) const {
-  // One pass per column over raw buffers: views gather through the
-  // selection vector directly instead of re-resolving it per cell.
-  linalg::Matrix out(num_rows_, names.size());
-  for (size_t j = 0; j < names.size(); ++j) {
-    CCS_ASSIGN_OR_RETURN(const Column* col, ColumnByName(names[j]));
-    if (!col->is_numeric()) {
-      return Status::InvalidArgument("column is not numeric: " + names[j]);
-    }
-    const std::vector<double>& buf = col->numeric_buffer();
-    if (const std::vector<size_t>* sel = col->selection()) {
-      for (size_t i = 0; i < num_rows_; ++i) out.At(i, j) = buf[(*sel)[i]];
-    } else {
-      for (size_t i = 0; i < num_rows_; ++i) out.At(i, j) = buf[i];
-    }
-  }
-  return out;
-}
+namespace {
 
-StatusOr<linalg::Matrix> DataFrame::NumericMatrixFor(
-    const std::vector<std::string>& names,
-    const std::vector<size_t>& rows) const {
-  // Validate the row subset once up front: the gather loop below then
-  // runs branch-free per cell, and a bad index can no longer leave the
-  // caller with partially gathered columns' worth of wasted work.
-  for (size_t r : rows) {
-    if (r >= num_rows_) {
-      return Status::OutOfRange("NumericMatrixFor: row index out of range");
-    }
-  }
-  linalg::Matrix out(rows.size(), names.size());
-  for (size_t j = 0; j < names.size(); ++j) {
-    CCS_ASSIGN_OR_RETURN(const Column* col, ColumnByName(names[j]));
-    if (!col->is_numeric()) {
-      return Status::InvalidArgument("column is not numeric: " + names[j]);
-    }
-    const std::vector<double>& buf = col->numeric_buffer();
-    if (const std::vector<size_t>* sel = col->selection()) {
-      for (size_t i = 0; i < rows.size(); ++i) out.At(i, j) = buf[(*sel)[rows[i]]];
-    } else {
-      for (size_t i = 0; i < rows.size(); ++i) out.At(i, j) = buf[rows[i]];
-    }
-  }
-  return out;
-}
-
-StatusOr<linalg::MatrixView> DataFrame::NumericViewFor(
-    const std::vector<std::string>& names) const {
+// One source ColumnRef per named numeric column — the column half of
+// both NumericViewFor overloads.
+StatusOr<std::vector<linalg::MatrixView::ColumnRef>> SourceRefs(
+    const DataFrame& df, const std::vector<std::string>& names) {
   std::vector<linalg::MatrixView::ColumnRef> refs;
   refs.reserve(names.size());
   for (const std::string& name : names) {
-    CCS_ASSIGN_OR_RETURN(const Column* col, ColumnByName(name));
+    CCS_ASSIGN_OR_RETURN(const Column* col, df.ColumnByName(name));
     if (!col->is_numeric()) {
       return Status::InvalidArgument("column is not numeric: " + name);
     }
     refs.push_back({col->numeric_buffer().data(), col->selection()});
   }
+  return refs;
+}
+
+// Up-front logical-row validation of the row-subset view overloads.
+Status CheckRows(const std::vector<size_t>& rows, size_t num_rows,
+                 const char* caller) {
+  for (size_t r : rows) {
+    if (r >= num_rows) {
+      return Status::OutOfRange(std::string(caller) +
+                                ": row index out of range");
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+StatusOr<linalg::MatrixView> DataFrame::NumericViewFor(
+    const std::vector<std::string>& names) const {
+  CCS_ASSIGN_OR_RETURN(auto refs, SourceRefs(*this, names));
   return linalg::MatrixView(num_rows_, std::move(refs));
 }
 
 StatusOr<linalg::MatrixView> DataFrame::NumericViewFor(
     const std::vector<std::string>& names,
     const std::vector<size_t>& rows) const {
-  for (size_t r : rows) {
-    if (r >= num_rows_) {
-      return Status::OutOfRange("NumericViewFor: row index out of range");
-    }
-  }
-  std::vector<linalg::MatrixView::ColumnRef> refs;
-  refs.reserve(names.size());
-  for (const std::string& name : names) {
-    CCS_ASSIGN_OR_RETURN(const Column* col, ColumnByName(name));
-    if (!col->is_numeric()) {
-      return Status::InvalidArgument("column is not numeric: " + name);
-    }
-    refs.push_back({col->numeric_buffer().data(), col->selection()});
-  }
+  CCS_RETURN_IF_ERROR(CheckRows(rows, num_rows_, "NumericViewFor"));
+  CCS_ASSIGN_OR_RETURN(auto refs, SourceRefs(*this, names));
   return linalg::MatrixView(rows.size(), std::move(refs), &rows);
 }
 
@@ -287,11 +247,7 @@ StatusOr<linalg::MatrixView> DataFrame::DerivedViewFor(
 StatusOr<linalg::MatrixView> DataFrame::DerivedViewFor(
     const std::vector<ColumnExpr>& exprs,
     const std::vector<size_t>& rows) const {
-  for (size_t r : rows) {
-    if (r >= num_rows_) {
-      return Status::OutOfRange("DerivedViewFor: row index out of range");
-    }
-  }
+  CCS_RETURN_IF_ERROR(CheckRows(rows, num_rows_, "DerivedViewFor"));
   std::vector<linalg::MatrixView::ColumnRef> refs;
   std::vector<linalg::ViewSource> sources;
   refs.reserve(exprs.size());

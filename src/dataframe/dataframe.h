@@ -98,25 +98,16 @@ class DataFrame {
   /// columns (the "tuple" the conformance machinery evaluates).
   linalg::Vector NumericRow(size_t row) const;
 
-  /// All numeric columns as an n x m_N matrix (schema order).
+  /// All numeric columns as an owned n x m_N matrix (schema order):
+  /// NumericViewFor(NumericNames()) materialized by MatrixView::ToMatrix,
+  /// for callers that need an owned copy (model fitting, baselines'
+  /// projection loops). Kernels walk the view instead.
   linalg::Matrix NumericMatrix() const;
 
-  /// Selected columns (all must be numeric) as an n x k matrix.
-  StatusOr<linalg::Matrix> NumericMatrixFor(
-      const std::vector<std::string>& names) const;
-
-  /// Selected columns restricted to the given rows (in the given order)
-  /// as a rows.size() x k matrix. Row indices are validated up front
-  /// (before any gathering). Cold callers only — hot kernels walk the
-  /// zero-copy NumericViewFor instead.
-  StatusOr<linalg::Matrix> NumericMatrixFor(
-      const std::vector<std::string>& names,
-      const std::vector<size_t>& rows) const;
-
   /// Selected columns (all must be numeric) as a non-owning n x k
-  /// columnar view, built in O(k) without copying cell data — the
-  /// zero-materialization twin of NumericMatrixFor for hot kernels
-  /// (scoring, Gram accumulation). The view borrows this frame's
+  /// columnar view, built in O(k) without copying cell data — the bulk
+  /// input of every numeric kernel (scoring, Gram accumulation); call
+  /// ToMatrix() on it for an owned copy. The view borrows this frame's
   /// buffers and selection vectors: it is valid only while this frame
   /// is alive and must not outlive it.
   StatusOr<linalg::MatrixView> NumericViewFor(

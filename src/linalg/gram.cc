@@ -34,21 +34,12 @@ void GramAccumulator::Add(const Vector& tuple) {
   AccumulateRowTerms(tuple.data().data());
 }
 
-void GramAccumulator::AccumulateRowsImpl(const Matrix& data, size_t row_begin,
-                                         size_t row_end) {
-  // Rows are contiguous in a row-major Matrix; accumulate them in place.
-  const double* base = data.data().data();
-  for (size_t r = row_begin; r < row_end; ++r) {
-    AccumulateRowTerms(base + r * m_);
-  }
-}
-
-void GramAccumulator::AccumulateRowsImpl(const MatrixView& data,
-                                         size_t row_begin, size_t row_end) {
+void GramAccumulator::AccumulateShard(const MatrixView& data,
+                                      size_t row_begin, size_t row_end) {
   if (row_begin == row_end) return;
   // Late materialization in cache-sized blocks: gather rows into reused
-  // scratch, then run the SAME compiled term kernel every other ingest
-  // path uses. No full-size Matrix is allocated/zeroed/re-read, and the
+  // scratch, then run the SAME compiled term kernel per-row Add()
+  // uses. No full-size Matrix is allocated/zeroed/re-read, and the
   // bits are identical by construction: copying cells preserves them,
   // and a single shared kernel sidesteps the one divergence source
   // term-order reasoning cannot close — two structurally identical
@@ -65,29 +56,12 @@ void GramAccumulator::AccumulateRowsImpl(const MatrixView& data,
   }
 }
 
-void GramAccumulator::AccumulateRows(const Matrix& data, size_t row_begin,
-                                     size_t row_end) {
-  // A mismatched width would read out of bounds (Add and AddMatrix both
-  // validate; this public entry point must too).
-  CCS_CHECK_EQ(data.cols(), m_);
-  CCS_CHECK(row_begin <= row_end && row_end <= data.rows());
-  AccumulateRowsImpl(data, row_begin, row_end);
-}
-
-void GramAccumulator::AccumulateRows(const MatrixView& data, size_t row_begin,
-                                     size_t row_end) {
-  CCS_CHECK_EQ(data.cols(), m_);
-  CCS_CHECK(row_begin <= row_end && row_end <= data.rows());
-  AccumulateRowsImpl(data, row_begin, row_end);
-}
-
-template <typename DataLike>
-void GramAccumulator::AddRowsSharded(const DataLike& data) {
+void GramAccumulator::AddView(const MatrixView& data) {
   CCS_CHECK_EQ(data.cols(), m_);
   const size_t n = data.rows();
   const size_t shards = (n + kGramShardRows - 1) / kGramShardRows;
   if (shards <= 1) {
-    AccumulateRowsImpl(data, 0, n);
+    AccumulateShard(data, 0, n);
     return;
   }
   // Shard boundaries depend only on n, so the summation tree — partials
@@ -98,8 +72,8 @@ void GramAccumulator::AddRowsSharded(const DataLike& data) {
       shards,
       [&](size_t begin, size_t end) {
         for (size_t s = begin; s < end; ++s) {
-          partials[s].AccumulateRowsImpl(data, s * kGramShardRows,
-                                         std::min(n, (s + 1) * kGramShardRows));
+          partials[s].AccumulateShard(
+              data, s * kGramShardRows, std::min(n, (s + 1) * kGramShardRows));
         }
       },
       common::ParallelOptions{/*num_threads=*/0, /*min_chunk=*/1});
@@ -107,10 +81,6 @@ void GramAccumulator::AddRowsSharded(const DataLike& data) {
     CCS_CHECK(Merge(partial).ok());
   }
 }
-
-void GramAccumulator::AddMatrix(const Matrix& data) { AddRowsSharded(data); }
-
-void GramAccumulator::AddView(const MatrixView& data) { AddRowsSharded(data); }
 
 Status GramAccumulator::Merge(const GramAccumulator& other) {
   if (other.m_ != m_) {

@@ -122,13 +122,13 @@ CCS_NOINLINE void EvalCombineColumn(const ViewSource* sources, size_t count,
 /// `DataFrame::DerivedViewFor` produce it in O(columns).
 ///
 /// Determinism: `MultiplyRowRange` accumulates in the same i,k,j term
-/// order as `Matrix::MultiplyRowRange` and per-row `Vector::Dot`, with
-/// no zero-skipping, so walking the view is bitwise identical to
-/// materializing a Matrix and multiplying that — including on NaN/Inf
-/// cells (see docs/architecture.md, "Determinism contract"). Derived
-/// cells are row-independent and evaluated by one compiled kernel per
-/// op, so block evaluation, single-cell At, and full-column
-/// materialization all produce identical bits.
+/// order as `Matrix::Multiply` and per-row `Vector::Dot`, with no
+/// zero-skipping, so walking the view is bitwise identical to per-row
+/// dot products — including on NaN/Inf cells (see docs/architecture.md,
+/// "Determinism contract"). Derived cells are row-independent and
+/// evaluated by one compiled kernel per op, so block evaluation,
+/// single-cell At, and full-column materialization all produce
+/// identical bits.
 class MatrixView {
  public:
   /// One column of the view. `selection == nullptr` means the buffer is
@@ -200,8 +200,8 @@ class MatrixView {
   /// column-at-a-time (one prefetch-friendly stream per column). This
   /// is the late-materialization primitive the kernels use: a
   /// cache-sized block is gathered into reused scratch and fed to the
-  /// same compiled kernel the materializing path runs, so no full-size
-  /// Matrix is ever allocated and the bits cannot differ (copying cells
+  /// same compiled kernel the per-row path runs, so no full-size Matrix
+  /// is ever allocated and the bits cannot differ (copying cells
   /// preserves them). Derived columns are evaluated into the block by
   /// their op's kernel, strided exactly like the source gather.
   void GatherBlock(size_t row_begin, size_t row_end, double* out) const {
@@ -229,10 +229,10 @@ class MatrixView {
   void MaterializeColumn(size_t c, double* out) const;
 
   /// rows [row_begin, row_end) of this * other, as a
-  /// (row_end - row_begin) x other.cols() matrix — the same kernel
-  /// contract as Matrix::MultiplyRowRange: exact i,k,j accumulation
-  /// order, no zero-skipping, bitwise identical to materializing the
-  /// view first.
+  /// (row_end - row_begin) x other.cols() matrix — the kernel behind
+  /// batched violation scoring, with Matrix::Multiply's contract: exact
+  /// i,k,j accumulation order, no zero-skipping, bitwise identical to
+  /// per-row Vector::Dot evaluation.
   ///
   /// \param row_begin  First logical row to multiply (inclusive).
   /// \param row_end    One past the last row; must be <= rows().
@@ -241,9 +241,10 @@ class MatrixView {
   Matrix MultiplyRowRange(size_t row_begin, size_t row_end,
                           const Matrix& other) const;
 
-  /// The view materialized as an owned Matrix (cell-by-cell gather;
-  /// derived columns evaluated by their kernels). Equivalence suites
-  /// compare kernels on the view against the same kernels on this copy.
+  /// The view materialized as an owned Matrix (one GatherBlock over all
+  /// rows; derived columns evaluated by their kernels) — the library's
+  /// one numeric materializer, for callers that need an owned copy
+  /// (DataFrame::NumericMatrix, model fitting). Kernels walk the view.
   Matrix ToMatrix() const;
 
  private:

@@ -168,14 +168,15 @@ TEST(DataFrameTest, NumericMatrixShapeAndContent) {
   EXPECT_DOUBLE_EQ(m(3, 1), 40.0);
 }
 
-TEST(DataFrameTest, NumericMatrixForSelectsAndOrders) {
+TEST(DataFrameTest, NumericViewForSelectsAndOrders) {
   DataFrame df = MakeSample();
-  auto m = df.NumericMatrixFor({"y", "x"});
-  ASSERT_TRUE(m.ok());
-  EXPECT_DOUBLE_EQ((*m)(0, 0), 10.0);
-  EXPECT_DOUBLE_EQ((*m)(0, 1), 1.0);
-  EXPECT_FALSE(df.NumericMatrixFor({"tag"}).ok());
-  EXPECT_FALSE(df.NumericMatrixFor({"nope"}).ok());
+  auto view = df.NumericViewFor({"y", "x"});
+  ASSERT_TRUE(view.ok());
+  linalg::Matrix m = view->ToMatrix();
+  EXPECT_DOUBLE_EQ(m(0, 0), 10.0);
+  EXPECT_DOUBLE_EQ(m(0, 1), 1.0);
+  EXPECT_FALSE(df.NumericViewFor({"tag"}).ok());
+  EXPECT_FALSE(df.NumericViewFor({"nope"}).ok());
 }
 
 TEST(DataFrameTest, NameLists) {

@@ -34,7 +34,8 @@ TEST(IntegrationTest, AirlinesViolationTracksRegressionError) {
 
   // Train the delay regressor on all numeric covariates.
   auto covariate_names = bench->train.DropColumns({"delay"})->NumericNames();
-  auto x_train = bench->train.NumericMatrixFor(covariate_names).value();
+  auto x_train =
+      bench->train.NumericViewFor(covariate_names).value().ToMatrix();
   auto y_train =
       bench->train.ColumnByName("delay").value()->ToVector();
   ml::LinearRegressionOptions options;
@@ -43,7 +44,7 @@ TEST(IntegrationTest, AirlinesViolationTracksRegressionError) {
   ASSERT_TRUE(model.ok());
 
   auto evaluate = [&](const DataFrame& split) {
-    auto x = split.NumericMatrixFor(covariate_names).value();
+    auto x = split.NumericViewFor(covariate_names).value().ToMatrix();
     auto y = split.ColumnByName("delay").value()->ToVector();
     double mae = ml::MeanAbsoluteError(y, model->PredictAll(x)).value();
     double violation =
@@ -76,14 +77,14 @@ TEST(IntegrationTest, TupleViolationCorrelatesWithTupleError) {
   ASSERT_TRUE(envelope.ok());
 
   auto covariate_names = bench->train.DropColumns({"delay"})->NumericNames();
-  auto x = bench->train.NumericMatrixFor(covariate_names).value();
+  auto x = bench->train.NumericViewFor(covariate_names).value().ToMatrix();
   auto y = bench->train.ColumnByName("delay").value()->ToVector();
   ml::LinearRegressionOptions options;
   options.l2_penalty = 1.0;
   auto model = ml::LinearRegression::Fit(x, y, options);
   ASSERT_TRUE(model.ok());
 
-  auto xm = bench->mixed.NumericMatrixFor(covariate_names).value();
+  auto xm = bench->mixed.NumericViewFor(covariate_names).value().ToMatrix();
   auto ym = bench->mixed.ColumnByName("delay").value()->ToVector();
   auto errors = ml::AbsoluteErrors(ym, model->PredictAll(xm)).value();
   auto assessments = envelope->AssessAll(bench->mixed).value();

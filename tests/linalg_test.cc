@@ -172,7 +172,8 @@ TEST(MatrixTest, TransposedTwiceIsIdentityOp) {
 TEST(MatrixTest, AddAndScale) {
   Matrix a{{1.0, 2.0}};
   Matrix b{{3.0, 4.0}};
-  Matrix c = a.Add(b);
+  Matrix c = a;
+  c.AddInPlace(b);
   EXPECT_DOUBLE_EQ(c(0, 1), 6.0);
   c.Scale(0.5);
   EXPECT_DOUBLE_EQ(c(0, 0), 2.0);

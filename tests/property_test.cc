@@ -163,7 +163,9 @@ TEST_P(SeedPropertyTest, GramMergeInvariantOnRandomPartitions) {
   size_t m = df.NumericNames().size();
   auto data = df.NumericMatrix();
   linalg::GramAccumulator whole(m);
-  whole.AddMatrix(data);
+  auto view = df.NumericViewFor(df.NumericNames());
+  ASSERT_TRUE(view.ok());
+  whole.AddView(*view);
 
   Rng rng(GetParam() * 13 + 5);
   size_t parts = static_cast<size_t>(rng.UniformInt(2, 5));

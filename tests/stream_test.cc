@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -225,6 +226,45 @@ TEST(WindowerTest, SlidingWindowsOverlap) {
     for (size_t r = 0; r < 10; ++r) {
       EXPECT_EQ((*out)[w].NumericValue(r, "y").value(),
                 df.NumericValue(w * 5 + r, "y").value());
+    }
+  }
+}
+
+TEST(WindowerTest, SlidingWindowsOverChunksMatchSlicesBitwise) {
+  // Every emitted window — numeric and categorical cells — equals the
+  // matching Slice of the whole stream, whatever the chunk boundaries.
+  DataFrame df = TrendFrame(400, 0.0, 3);
+  std::vector<std::string> tag(df.num_rows());
+  for (size_t i = 0; i < tag.size(); ++i) tag[i] = "t" + std::to_string(i % 7);
+  ASSERT_TRUE(df.AddCategoricalColumn("tag", std::move(tag)).ok());
+  const size_t window = 50, slide = 15, chunk = 37;
+  auto windower = Windower::Create(window, slide);
+  ASSERT_TRUE(windower.ok());
+  std::vector<DataFrame> all;
+  for (size_t begin = 0; begin < df.num_rows(); begin += chunk) {
+    auto out = windower->Push(
+        df.Slice(begin, std::min(begin + chunk, df.num_rows())));
+    ASSERT_TRUE(out.ok());
+    for (auto& w : *out) all.push_back(std::move(w));
+  }
+  ASSERT_EQ(all.size(), (df.num_rows() - window) / slide + 1);
+  for (size_t w = 0; w < all.size(); ++w) {
+    DataFrame expected = df.Slice(w * slide, w * slide + window);
+    ASSERT_TRUE(all[w].schema() == expected.schema());
+    ASSERT_EQ(all[w].num_rows(), window);
+    for (size_t c = 0; c < expected.num_columns(); ++c) {
+      for (size_t r = 0; r < window; ++r) {
+        if (expected.column(c).is_numeric()) {
+          double a = all[w].column(c).NumericAt(r);
+          double e = expected.column(c).NumericAt(r);
+          EXPECT_EQ(std::memcmp(&a, &e, sizeof(double)), 0)
+              << "window " << w << " column " << c << " row " << r;
+        } else {
+          EXPECT_EQ(all[w].column(c).CategoricalAt(r),
+                    expected.column(c).CategoricalAt(r))
+              << "window " << w << " column " << c << " row " << r;
+        }
+      }
     }
   }
 }

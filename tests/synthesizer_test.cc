@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/parallel.h"
 #include "common/random.h"
@@ -181,9 +184,9 @@ TEST(SynthesizerTest, GramPathMatchesDataFramePath) {
   ASSERT_TRUE(direct.ok());
 
   linalg::GramAccumulator gram(2);
-  auto data = df.NumericMatrixFor({"x", "y"});
+  auto data = df.NumericViewFor({"x", "y"});
   ASSERT_TRUE(data.ok());
-  gram.AddMatrix(*data);
+  gram.AddView(*data);
   auto from_gram = synth.SynthesizeSimpleFromGram({"x", "y"}, gram);
   ASSERT_TRUE(from_gram.ok());
 
@@ -545,27 +548,41 @@ TEST(ParallelSynthesisTest, SinglePartitionsBelowMinimumFailIdentically) {
   }
 }
 
-TEST(ParallelSynthesisTest, GramMatrixPathIdenticalAcrossThreads) {
-  // The layer below the synthesizer: AddMatrix itself must produce the
-  // same bits at any thread count (fixed shards, ordered merge).
+TEST(ParallelSynthesisTest, GramViewPathIdenticalAcrossThreads) {
+  // The layer below the synthesizer: AddView itself must produce the
+  // same bits at any thread count (fixed shards, ordered merge), namely
+  // those of per-row Add into one accumulator per shard, merged in
+  // shard order.
   ThreadCountGuard guard;
   const size_t n = 2 * linalg::kGramShardRows + 11;
   Rng rng(59);
-  linalg::Matrix data(n, 3);
+  std::vector<std::vector<double>> columns(3, std::vector<double>(n));
   for (size_t r = 0; r < n; ++r) {
-    for (size_t c = 0; c < 3; ++c) data.At(r, c) = rng.Gaussian();
+    for (size_t c = 0; c < 3; ++c) columns[c][r] = rng.Gaussian();
   }
-  common::SetDefaultThreadCount(1);
-  linalg::GramAccumulator serial(3);
-  serial.AddMatrix(data);
-  for (size_t threads : {2u, 8u}) {
+  DataFrame df;
+  for (size_t c = 0; c < 3; ++c) {
+    ASSERT_TRUE(
+        df.AddNumericColumn("a" + std::to_string(c), columns[c]).ok());
+  }
+  auto view = df.NumericViewFor(df.NumericNames());
+  ASSERT_TRUE(view.ok());
+  linalg::GramAccumulator by_row(3);
+  for (size_t b = 0; b < n; b += linalg::kGramShardRows) {
+    linalg::GramAccumulator shard(3);
+    for (size_t r = b; r < std::min(n, b + linalg::kGramShardRows); ++r) {
+      shard.Add(Vector{columns[0][r], columns[1][r], columns[2][r]});
+    }
+    ASSERT_TRUE(by_row.Merge(shard).ok());
+  }
+  for (size_t threads : {1u, 2u, 8u}) {
     common::SetDefaultThreadCount(threads);
     linalg::GramAccumulator parallel(3);
-    parallel.AddMatrix(data);
-    ASSERT_EQ(parallel.count(), serial.count());
-    linalg::Matrix serial_gram = serial.AugmentedGram();
+    parallel.AddView(*view);
+    ASSERT_EQ(parallel.count(), by_row.count());
+    linalg::Matrix expected_gram = by_row.AugmentedGram();
     linalg::Matrix parallel_gram = parallel.AugmentedGram();
-    const auto& a = serial_gram.data();
+    const auto& a = expected_gram.data();
     const auto& b = parallel_gram.data();
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {

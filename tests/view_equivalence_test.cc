@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <sstream>
 
@@ -19,9 +20,11 @@
 #include "common/random.h"
 #include "core/constraint.h"
 #include "core/drift.h"
+#include "core/explain.h"
 #include "core/kernel.h"
 #include "core/monitor.h"
 #include "core/projection.h"
+#include "core/repair.h"
 #include "core/synthesizer.h"
 #include "dataframe/csv.h"
 #include "dataframe/dataframe.h"
@@ -105,6 +108,20 @@ void ExpectMatricesBitwiseEqual(const linalg::Matrix& a,
       EXPECT_TRUE(BitsEqual(a.At(i, j), b.At(i, j))) << i << "," << j;
     }
   }
+}
+
+// The named numeric columns of `df` read cell by cell through
+// Column::NumericAt — the reference for every numeric gather.
+linalg::Matrix CellsByNumericAt(const DataFrame& df,
+                                const std::vector<std::string>& names) {
+  linalg::Matrix out(df.num_rows(), names.size());
+  for (size_t j = 0; j < names.size(); ++j) {
+    const Column* col = df.ColumnByName(names[j]).value();
+    for (size_t i = 0; i < df.num_rows(); ++i) {
+      out.At(i, j) = col->NumericAt(i);
+    }
+  }
+  return out;
 }
 
 // ------------------------- row-subset operations -----------------------
@@ -227,29 +244,35 @@ TEST(ViewEquivalenceTest, PartitionOfViewMatchesPartitionOfMaterialized) {
 
 // --------------------------- matrix gathering --------------------------
 
-TEST(ViewEquivalenceTest, NumericMatrixForOnViewMatchesMaterialized) {
+TEST(ViewEquivalenceTest, NumericViewForOnViewMatchesMaterialized) {
   DataFrame df = MakeFrame(250, 10);
   DataFrame view = df.Slice(30, 210).Filter(
       [](size_t i) { return i % 2 == 0; });  // View of a view.
   DataFrame flat = view.Materialize();
   std::vector<std::string> names = {"z", "x", "y"};  // Reordered on purpose.
+  linalg::Matrix cells = CellsByNumericAt(flat, names);
 
-  auto m_view = view.NumericMatrixFor(names);
-  auto m_flat = flat.NumericMatrixFor(names);
+  auto m_view = view.NumericViewFor(names);
   ASSERT_TRUE(m_view.ok());
-  ASSERT_TRUE(m_flat.ok());
-  ExpectMatricesBitwiseEqual(*m_view, *m_flat);
+  ExpectMatricesBitwiseEqual(m_view->ToMatrix(), cells);
+  ExpectMatricesBitwiseEqual(view.NumericMatrix(),
+                             CellsByNumericAt(flat, flat.NumericNames()));
 
   // The row-subset overload, through the same composed selections.
   std::vector<size_t> rows = {5, 0, 17, 17, 2};
-  auto s_view = view.NumericMatrixFor(names, rows);
-  auto s_flat = flat.NumericMatrixFor(names, rows);
+  auto s_view = view.NumericViewFor(names, rows);
   ASSERT_TRUE(s_view.ok());
-  ASSERT_TRUE(s_flat.ok());
-  ExpectMatricesBitwiseEqual(*s_view, *s_flat);
+  linalg::Matrix subset = s_view->ToMatrix();
+  ASSERT_EQ(subset.rows(), rows.size());
+  for (size_t t = 0; t < rows.size(); ++t) {
+    for (size_t j = 0; j < names.size(); ++j) {
+      EXPECT_TRUE(BitsEqual(subset.At(t, j), cells.At(rows[t], j)));
+    }
+  }
 
   // Out-of-range rows still error (bounds are logical rows).
-  EXPECT_EQ(view.NumericMatrixFor(names, {view.num_rows()}).status().code(),
+  std::vector<size_t> bad_rows = {view.num_rows()};
+  EXPECT_EQ(view.NumericViewFor(names, bad_rows).status().code(),
             StatusCode::kOutOfRange);
 }
 
@@ -374,6 +397,135 @@ TEST(ViewEquivalenceTest, ViolationAllOnViewsBitwiseMatchesMaterialized) {
   common::SetDefaultThreadCount(0);
 }
 
+// ------------------ explain / repair over views -------------------------
+
+// Deep copy of `df` with its columns in `order`; a nonzero `y_shift`
+// pushes every fourth row's y off the y = 2x trend, so explain and
+// repair have non-conforming tuples to work on.
+DataFrame CopyColumns(const DataFrame& df,
+                      const std::vector<std::string>& order,
+                      double y_shift = 0.0) {
+  DataFrame out;
+  for (const std::string& name : order) {
+    const Column* col = df.ColumnByName(name).value();
+    if (col->is_numeric()) {
+      std::vector<double> values(df.num_rows());
+      for (size_t r = 0; r < values.size(); ++r) {
+        values[r] = col->NumericAt(r);
+        if (name == "y" && r % 4 == 0) values[r] += y_shift;
+      }
+      CCS_CHECK(out.AddNumericColumn(name, std::move(values)).ok());
+    } else {
+      std::vector<std::string> values(df.num_rows());
+      for (size_t r = 0; r < values.size(); ++r) {
+        values[r] = col->CategoricalAt(r);
+      }
+      CCS_CHECK(out.AddCategoricalColumn(name, std::move(values)).ok());
+    }
+  }
+  return out;
+}
+
+// A Filter view, a Gather view (with repeats), and a view of a view.
+std::vector<DataFrame> ViewsOf(const DataFrame& df) {
+  std::vector<size_t> rows;
+  for (size_t i = 0; i < 150; ++i) rows.push_back((i * 7) % df.num_rows());
+  return {df.Filter([&](size_t i) {
+            return df.NumericValue(i, "z").value() > 3.0;
+          }),
+          df.Gather(rows),
+          df.Slice(20, df.num_rows()).Filter([](size_t i) {
+            return i % 2 == 0;
+          })};
+}
+
+// Exact text of an explain/repair result: %a prints every bit of a
+// finite double, so equal dumps mean bitwise-equal results.
+std::string Dump(
+    const StatusOr<std::vector<core::AttributeResponsibility>>& result) {
+  std::string out = result.status().ToString();
+  if (!result.ok()) return out;
+  char buf[64];
+  for (const auto& r : result.value()) {
+    std::snprintf(buf, sizeof(buf), " %a", r.responsibility);
+    out += " " + r.attribute + buf;
+  }
+  return out;
+}
+
+std::string Dump(const StatusOr<std::vector<core::CellError>>& result) {
+  std::string out = result.status().ToString();
+  if (!result.ok()) return out;
+  char buf[160];
+  for (const auto& e : result.value()) {
+    std::snprintf(buf, sizeof(buf), " %zu %a %a %a", e.row, e.violation,
+                  e.suggested, e.repaired_violation);
+    out += " " + e.attribute + buf;
+  }
+  return out;
+}
+
+TEST(ViewEquivalenceTest, ExplainAndRepairFitOnViewsMatchMaterialized) {
+  DataFrame train = MakeFrame(500, 30);
+  DataFrame serving =
+      CopyColumns(MakeFrame(300, 31), {"x", "tag", "y", "group", "z"}, 6.0);
+  for (const DataFrame& view : ViewsOf(train)) {
+    ASSERT_TRUE(view.is_view());
+    DataFrame flat = view.Materialize();
+    auto explainer_view = core::NonConformanceExplainer::FromTrainingData(view);
+    auto explainer_flat = core::NonConformanceExplainer::FromTrainingData(flat);
+    ASSERT_TRUE(explainer_view.ok()) << explainer_view.status();
+    ASSERT_TRUE(explainer_flat.ok()) << explainer_flat.status();
+    // The training means enter every greedy mean-reset, so equal
+    // explanations pin the view-walked means too.
+    EXPECT_EQ(Dump(explainer_view->ExplainDataset(serving)),
+              Dump(explainer_flat->ExplainDataset(serving)));
+    auto repairer_view = core::ConstraintRepairer::FromTrainingData(view);
+    auto repairer_flat = core::ConstraintRepairer::FromTrainingData(flat);
+    ASSERT_TRUE(repairer_view.ok()) << repairer_view.status();
+    ASSERT_TRUE(repairer_flat.ok()) << repairer_flat.status();
+    EXPECT_TRUE(core::ConstraintsBitwiseEqual(repairer_view->constraint(),
+                                              repairer_flat->constraint()));
+    EXPECT_EQ(Dump(repairer_view->DetectErrors(serving, 0.05)),
+              Dump(repairer_flat->DetectErrors(serving, 0.05)));
+  }
+}
+
+TEST(ViewEquivalenceTest, ExplainAndRepairServeViewsMatchMaterialized) {
+  DataFrame train = MakeFrame(500, 32);
+  auto explainer = core::NonConformanceExplainer::FromTrainingData(train);
+  auto repairer = core::ConstraintRepairer::FromTrainingData(train);
+  ASSERT_TRUE(explainer.ok()) << explainer.status();
+  ASSERT_TRUE(repairer.ok()) << repairer.status();
+  DataFrame serving =
+      CopyColumns(MakeFrame(300, 33), {"x", "tag", "y", "group", "z"}, 6.0);
+  // The shifted rows really are flagged and explained.
+  auto errors = repairer->DetectErrors(serving, 0.05);
+  ASSERT_TRUE(errors.ok());
+  EXPECT_FALSE(errors->empty());
+  auto explanation = explainer->ExplainDataset(serving);
+  ASSERT_TRUE(explanation.ok());
+  double total = 0.0;
+  for (const auto& r : *explanation) total += r.responsibility;
+  EXPECT_GT(total, 0.0);
+
+  std::vector<DataFrame> frames = ViewsOf(serving);
+  // Reordered columns (numerics in z, y, x order) — explain and repair
+  // align attributes by name.
+  DataFrame reordered = CopyColumns(serving, {"z", "group", "y", "tag", "x"});
+  frames.push_back(reordered);
+  for (const DataFrame& frame : frames) {
+    DataFrame flat = frame.Materialize();
+    EXPECT_EQ(Dump(explainer->ExplainDataset(frame)),
+              Dump(explainer->ExplainDataset(flat)));
+    EXPECT_EQ(Dump(repairer->DetectErrors(frame, 0.05)),
+              Dump(repairer->DetectErrors(flat, 0.05)));
+  }
+  // Same cells in another column order: same bits as the original.
+  EXPECT_EQ(Dump(explainer->ExplainDataset(reordered)), Dump(explanation));
+  EXPECT_EQ(Dump(repairer->DetectErrors(reordered, 0.05)), Dump(errors));
+}
+
 // ------------------- derived-column pipelines --------------------------
 //
 // The lazy derived-column paths (ExpandPolynomialView, TransformView,
@@ -403,9 +555,8 @@ TEST(DerivedPipelineTest, LazyExpansionBitwiseMatchesMaterialized) {
     // Same schema, same bits: the lazy view gathers what the
     // materialized frame stores.
     EXPECT_EQ(lazy->names, flat->NumericNames());
-    auto matrix = flat->NumericMatrixFor(lazy->names);
-    ASSERT_TRUE(matrix.ok());
-    ExpectMatricesBitwiseEqual(lazy->view.ToMatrix(), *matrix);
+    ExpectMatricesBitwiseEqual(lazy->view.ToMatrix(),
+                               CellsByNumericAt(*flat, lazy->names));
     // Synthesis straight from the derived view vs. over the expanded
     // frame: identical constraints, conjunct by conjunct.
     core::Synthesizer synthesizer;
@@ -420,23 +571,26 @@ TEST(DerivedPipelineTest, LazyExpansionBitwiseMatchesMaterialized) {
   common::SetDefaultThreadCount(0);
 }
 
-TEST(DerivedPipelineTest, ProjectionEvaluateAllMatchesAlignedKernel) {
+TEST(DerivedPipelineTest, ProjectionEvaluateAllMatchesPerRowEvaluate) {
   DataFrame df = MakeFrame(350, 21);
   std::vector<std::string> names = {"x", "y", "z"};
   auto projection =
       core::Projection::Create(names, linalg::Vector({0.75, -0.5, 0.25}));
   ASSERT_TRUE(projection.ok());
-  auto matrix = df.NumericMatrixFor(names);
-  ASSERT_TRUE(matrix.ok());
-  // Finite data: the lazy Combine kernel and the materialized
-  // matrix-multiply kernel run the same accumulation order (ascending
-  // term index, multiply-then-add, no FMA), so the bits agree even
-  // though they are separately compiled.
-  linalg::Vector aligned = projection->EvaluateAllAligned(*matrix);
+  // Finite data: the lazy Combine kernel and per-row Evaluate run the
+  // same accumulation order (ascending term index, multiply-then-add,
+  // no FMA), so the bits agree even though they are separately
+  // compiled.
+  auto per_row = [&](const DataFrame& frame) {
+    linalg::Vector out(frame.num_rows());
+    for (size_t r = 0; r < frame.num_rows(); ++r) {
+      out[r] = projection->Evaluate(frame, r).value();
+    }
+    return out;
+  };
+  linalg::Vector aligned = per_row(df);
   DataFrame view = df.Filter([](size_t i) { return i % 3 != 1; });
-  auto view_matrix = view.NumericMatrixFor(names);
-  ASSERT_TRUE(view_matrix.ok());
-  linalg::Vector view_aligned = projection->EvaluateAllAligned(*view_matrix);
+  linalg::Vector view_aligned = per_row(view);
   for (size_t threads : {1u, 4u}) {
     common::SetDefaultThreadCount(threads);
     auto lazy = projection->EvaluateAll(df);
@@ -452,11 +606,10 @@ TEST(DerivedPipelineTest, ProjectionEvaluateAllMatchesAlignedKernel) {
 TEST(DerivedPipelineTest, ScalerTransformViewBitwiseMatchesTransform) {
   DataFrame df = MakeFrame(300, 22);
   std::vector<std::string> names = {"z", "x", "y"};  // Reordered subset.
-  auto matrix = df.NumericMatrixFor(names);
-  ASSERT_TRUE(matrix.ok());
-  auto scaler = ml::StandardScaler::Fit(*matrix);
+  linalg::Matrix matrix = CellsByNumericAt(df, names);
+  auto scaler = ml::StandardScaler::Fit(matrix);
   ASSERT_TRUE(scaler.ok());
-  auto flat = scaler->Transform(*matrix);
+  auto flat = scaler->Transform(matrix);
   ASSERT_TRUE(flat.ok());
   auto view = scaler->TransformView(df, names);
   ASSERT_TRUE(view.ok()) << view.status();
@@ -464,9 +617,7 @@ TEST(DerivedPipelineTest, ScalerTransformViewBitwiseMatchesTransform) {
   // The same lazy transform composed over a view-of-a-view frame.
   DataFrame sliced = df.Slice(40, 260).Filter(
       [](size_t i) { return i % 2 == 0; });
-  auto sliced_matrix = sliced.NumericMatrixFor(names);
-  ASSERT_TRUE(sliced_matrix.ok());
-  auto sliced_flat = scaler->Transform(*sliced_matrix);
+  auto sliced_flat = scaler->Transform(CellsByNumericAt(sliced, names));
   ASSERT_TRUE(sliced_flat.ok());
   auto sliced_view = scaler->TransformView(sliced, names);
   ASSERT_TRUE(sliced_view.ok());
@@ -491,9 +642,9 @@ TEST(DerivedPipelineTest, ExpandedDriftScoringBitwiseMatchesMaterialized) {
     ASSERT_TRUE(simple.ok()) << simple.status();
     auto flat_window = core::ExpandPolynomial(window, expansion);
     ASSERT_TRUE(flat_window.ok());
-    auto matrix = flat_window->NumericMatrixFor(simple->attribute_names());
-    ASSERT_TRUE(matrix.ok());
-    linalg::Vector expected = simple->ViolationAllAligned(*matrix);
+    auto scored = simple->ViolationAll(*flat_window);
+    ASSERT_TRUE(scored.ok()) << scored.status();
+    const linalg::Vector& expected = *scored;
     auto tuples = lazy.TupleViolations(window);
     ASSERT_TRUE(tuples.ok()) << tuples.status();
     ExpectVectorsBitwiseEqual(*tuples, expected);

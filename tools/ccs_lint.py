@@ -41,14 +41,14 @@ Rules
                    sanctioned entry point, and nothing a kernel computes
                    may depend on time (docs/observability.md).
   matrix-materialize
-                   a NumericMatrixFor call under src/core/ or
-                   src/stream/ — the hot synthesize→score layers. Those
-                   paths walk zero-copy NumericViewFor / DerivedViewFor
-                   views (docs/architecture.md, "Derived columns"); a
-                   materialized per-call Matrix there reintroduces the
-                   allocations the view layer exists to eliminate.
-                   Genuinely cold callers (explain, repair) carry an
-                   explained allow.
+                   a ToMatrix() or NumericMatrix() call under src/core/
+                   or src/stream/ — the hot synthesize→score layers.
+                   Those paths walk zero-copy NumericViewFor /
+                   DerivedViewFor views (docs/architecture.md, "Derived
+                   columns"); a materialized per-call Matrix there
+                   reintroduces the allocations the view layer exists
+                   to eliminate. Cold per-tuple callers gather one row
+                   at a time (MatrixView::GatherBlock) instead.
   fault-point      a CCS_FAULT_POINT whose name is not an inline string
                    literal, duplicates another site's name (in the same
                    file or anywhere in the tree — hit ordinals identify
@@ -137,7 +137,7 @@ MEMBER_SKIP_RE = re.compile(
     r"static_assert\b|template\s*<)")
 SIGNATURE_RE = re.compile(r"^\s*[A-Za-z_][\w:<>,*&\s]*\b\w+\s*\(")
 FAULT_POINT_CALL_RE = re.compile(r"\bCCS_FAULT_POINT\s*\(")
-MATRIX_MATERIALIZE_RE = re.compile(r"\bNumericMatrixFor\s*\(")
+MATRIX_MATERIALIZE_RE = re.compile(r"\b(?:ToMatrix|NumericMatrix)\s*\(")
 FAULT_POINT_LITERAL_RE = re.compile(r'\bCCS_FAULT_POINT\s*\(\s*"([^"]+)"\s*\)')
 
 
@@ -344,8 +344,8 @@ class FileLinter:
         clock_banned = (self.logical.startswith("src/")
                         and not self.logical.startswith("src/obs/"))
         # Materialized numeric matrices are banned in the hot
-        # synthesize→score layers; dataframe/ owns the method and the
-        # cold layers (explain/repair live in core and carry allows).
+        # synthesize→score layers; dataframe/ and linalg/ own the
+        # materializers, and ml/ and baselines/ fit on owned copies.
         matrix_banned = self.logical.startswith(("src/core/", "src/stream/"))
         # Rng thread-affinity: the rule arms once the file dispatches
         # parallel work anywhere — Rng in such a file needs an explained
@@ -369,10 +369,10 @@ class FileLinter:
                              "measurement through obs::NowNanos()")
             if matrix_banned and MATRIX_MATERIALIZE_RE.search(line):
                 self._report(idx, "matrix-materialize",
-                             "NumericMatrixFor in a hot synthesize/score "
-                             "layer — walk NumericViewFor/DerivedViewFor "
-                             "views instead, or explain why this caller is "
-                             "cold")
+                             "ToMatrix/NumericMatrix in a hot "
+                             "synthesize/score layer — walk NumericViewFor/"
+                             "DerivedViewFor views instead (GatherBlock one "
+                             "row for per-tuple work)")
             if not rng_ok and has_parallel and RNG_RE.search(line):
                 self._report(idx, "rng-parallel",
                              "Rng in a file that dispatches parallel work — "

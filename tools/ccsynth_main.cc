@@ -221,10 +221,13 @@ int RunCheck(const std::vector<std::string>& args) {
     std::printf("%zu\t%.6f\t%s\n", i, (*violations)[i],
                 flagged ? "UNSAFE" : "ok");
   }
-  std::fprintf(stderr,
-               "ccsynth: %zu / %zu tuples unsafe (threshold %.3f), mean "
-               "violation %.6f\n",
-               unsafe, violations->size(), threshold, violations->Mean());
+  std::fprintf(stderr, "ccsynth: %zu / %zu tuples unsafe (threshold %.3f)",
+               unsafe, violations->size(), threshold);
+  // An empty serving set has no mean violation.
+  if (!violations->empty()) {
+    std::fprintf(stderr, ", mean violation %.6f", violations->Mean());
+  }
+  std::fprintf(stderr, "\n");
   return unsafe > 0 ? 2 : 0;
 }
 
