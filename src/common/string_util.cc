@@ -24,17 +24,19 @@ std::vector<std::string> Split(std::string_view text, char delimiter) {
   return out;
 }
 
+namespace {
+
+// The C locale's isspace, without the locale lookup: the CSV reader
+// trims every numeric cell.
+bool IsAsciiSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+}  // namespace
+
 std::string_view Trim(std::string_view text) {
   size_t begin = 0;
-  while (begin < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[begin]))) {
-    ++begin;
-  }
+  while (begin < text.size() && IsAsciiSpace(text[begin])) ++begin;
   size_t end = text.size();
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
+  while (end > begin && IsAsciiSpace(text[end - 1])) --end;
   return text.substr(begin, end - begin);
 }
 

@@ -3,9 +3,11 @@
 #ifndef CCS_DATAFRAME_CSV_H_
 #define CCS_DATAFRAME_CSV_H_
 
+#include <array>
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/statusor.h"
@@ -30,7 +32,9 @@ struct CsvOptions {
 ///
 /// Supports RFC-4180-style double-quoted fields with embedded delimiters,
 /// quotes ("" escaping), and newlines. Returns InvalidArgument on ragged
-/// rows or unterminated quotes.
+/// rows or unterminated quotes. Every cell is held (packed per column)
+/// until EOF, because a column's type is known only once all of its
+/// cells have been seen.
 StatusOr<DataFrame> ReadCsv(std::istream& in,
                             const CsvOptions& options = CsvOptions());
 
@@ -38,10 +42,65 @@ StatusOr<DataFrame> ReadCsv(std::istream& in,
 StatusOr<DataFrame> ReadCsvFile(const std::string& path,
                                 const CsvOptions& options = CsvOptions());
 
+namespace internal {
+
+/// Splits a CSV byte stream into records: the one record splitter behind
+/// ReadCsv and CsvChunkReader.
+///
+/// Bytes are copied from the stream's buffer into a reusable buffer
+/// (64 KiB, doubled only when one record does not fit) and each record's
+/// fields are yielded as views into it. A field holding a quote is
+/// unescaped into a reused scratch string instead. A refill takes only
+/// what the streambuf already holds (in_avail), and blocks in one
+/// underflow only when it holds nothing, so a record is returned as soon
+/// as its terminating newline has arrived: a live pipe is never read
+/// past the record being parsed, except for the one byte a bare '\r'
+/// needs to tell "\r" from "\r\n".
+class CsvTokenizer {
+ public:
+  /// Reads from `in` (not owned; must outlive the tokenizer).
+  CsvTokenizer(std::istream* in, char delimiter);
+
+  /// Reads the next record into fields(). Returns false at end of stream
+  /// with nothing consumed, and InvalidArgument "unterminated quoted
+  /// field" when the stream ends inside quotes (the rest of the stream
+  /// is then consumed). A record ends at '\n', "\r\n", a bare '\r' or
+  /// EOF; an empty line is a record with one empty field.
+  StatusOr<bool> Next();
+
+  /// The last record's fields, unescaped. Views are invalidated by the
+  /// next call to Next.
+  const std::vector<std::string_view>& fields() const { return fields_; }
+
+  /// Physical lines the last Next consumed: 1 plus the newlines inside
+  /// quoted fields, counting a final line without a newline as one; 0 at
+  /// end of stream.
+  size_t lines() const { return lines_; }
+
+ private:
+  // Appends what the stream holds to the buffer, after moving the
+  // unconsumed bytes to its front. False at end of stream.
+  bool Refill();
+
+  std::istream* in_;
+  char delimiter_;
+  std::array<bool, 256> special_{};  // Quote, newlines, delimiter.
+  std::vector<char> buffer_;
+  size_t begin_ = 0;  // First unconsumed byte.
+  size_t end_ = 0;    // One past the last buffered byte.
+  bool eof_ = false;
+  std::vector<size_t> splits_;  // Delimiter offsets within the record.
+  std::vector<std::string_view> fields_;
+  std::vector<std::string> unescaped_;  // Scratch for quoted fields.
+  size_t lines_ = 0;
+};
+
+}  // namespace internal
+
 /// Incremental, schema-driven CSV reader for streaming ingestion.
 ///
-/// ReadCsv buffers the whole stream before it can infer column types;
-/// CsvChunkReader is instead given the schema up front (typically the
+/// Unlike ReadCsv, which must see every cell before it can infer column
+/// types, CsvChunkReader is given the schema up front (typically the
 /// reference DataFrame's) and parses a bounded number of rows per call,
 /// so a serving pipeline can start scoring long before EOF and its
 /// memory stays proportional to the chunk size. The stream must carry
@@ -90,13 +149,14 @@ class CsvChunkReader {
  private:
   Status ReadHeader();
 
-  std::istream* in_;
+  internal::CsvTokenizer tokenizer_;
   Schema schema_;
   CsvOptions options_;
   std::vector<size_t> col_map_;  // schema index -> stream field index
   // One persistent interner per categorical schema slot (unused entries
   // stay empty for numeric slots).
   std::vector<DictionaryBuilder> dicts_;
+  std::string key_;  // Reused lookup key for interning categorical cells.
   size_t stream_columns_ = 0;
   bool header_done_ = false;
   size_t rows_read_ = 0;

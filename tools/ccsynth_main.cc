@@ -211,7 +211,11 @@ int RunCheck(const std::vector<std::string>& args) {
 
   auto serving = Load(serving_path);
   if (!serving.ok()) return Fail(serving.status());
-  auto violations = phi->ViolationAll(*serving);
+  // A header-only serving CSV has no cells to type its columns by, so
+  // they read as categorical whatever the model expects; with no tuples
+  // there is nothing to score.
+  StatusOr<linalg::Vector> violations = linalg::Vector();
+  if (serving->num_rows() > 0) violations = phi->ViolationAll(*serving);
   if (!violations.ok()) return Fail(violations.status());
 
   size_t unsafe = 0;
@@ -776,6 +780,10 @@ int RunDiff(const std::vector<std::string>& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Output goes through stdio only, so unsyncing iostreams reorders
+  // nothing; it gives std::cin a buffer, which the CSV reader needs to
+  // take a piped stream in blocks rather than one byte per read.
+  std::ios_base::sync_with_stdio(false);
   if (argc < 2) return Usage();
   std::string command = argv[1];
   std::vector<std::string> args(argv + 2, argv + argc);
